@@ -26,6 +26,7 @@ from .baselines import default_config, run_variant
 from .cfront import parse, render
 from .core import HeteroGen, HeteroGenConfig, SearchConfig
 from .core.report import TranspileResult
+from .errors import ReproError
 from .fuzz import FuzzConfig, fuzz_kernel, get_kernel_seed
 from .hls import SolutionConfig, compile_unit
 from .interp import BACKENDS, set_default_backend
@@ -119,8 +120,16 @@ def _apply_parallel_flags(search: SearchConfig, args: argparse.Namespace) -> Non
         search.use_synthesis = args.synth
 
 
+def _read_source(path: str) -> str:
+    """The C source at *path*, or standard input for ``-``."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as handle:
+        return handle.read()
+
+
 def cmd_transpile(args: argparse.Namespace) -> int:
-    source = open(args.file).read() if args.file != "-" else sys.stdin.read()
+    source = _read_source(args.file)
     config = HeteroGenConfig(
         fuzz=FuzzConfig(max_execs=args.fuzz_execs, seed=args.seed),
         search=SearchConfig(
@@ -159,7 +168,7 @@ def cmd_transpile(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    source = open(args.file).read() if args.file != "-" else sys.stdin.read()
+    source = _read_source(args.file)
     rec = get_recorder()
     with rec.span(SPAN_CHECK, top=args.top, subject=args.file):
         with rec.span(SPAN_PARSE):
@@ -187,7 +196,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    source = open(args.file).read() if args.file != "-" else sys.stdin.read()
+    source = _read_source(args.file)
     rec = get_recorder()
     with rec.span(SPAN_PARSE):
         unit = parse(source, top_name=args.kernel)
@@ -424,11 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def backend_flag(p):
         p.add_argument("--interp-backend", choices=list(BACKENDS),
-                       default=None, metavar="{tree,compiled,cross}",
+                       default=None,
                        help="execution backend for all interpreted runs "
-                       "(default: the process default, normally 'compiled'; "
-                       "'cross' runs both backends and asserts identical "
-                       "behaviour)")
+                       "(default: $REPRO_INTERP_BACKEND, else 'batch'; "
+                       "'cross' and 'batch-cross' run two backends and "
+                       "assert identical behaviour)")
 
     def obs_flags(p):
         p.add_argument("--trace-out", metavar="PATH", default=None,
@@ -660,6 +669,21 @@ def _export_observability(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except BrokenPipeError:
+        raise  # ``python -m repro`` turns a closed stdout into exit 141
+    except (ReproError, OSError) as exc:
+        # Bad input (a missing file, C that does not parse, a malformed
+        # journal) is the user's to fix: one line, not a traceback.
+        command = " ".join(
+            filter(None, (args.command, getattr(args, "verb", None)))
+        )
+        print(f"{parser.prog} {command}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     configure_logging(getattr(args, "log_level", None),
                       getattr(args, "quiet", False))
     if getattr(args, "interp_backend", None):

@@ -33,6 +33,7 @@ from ..hls.compiler import compile_unit
 from ..hls.diagnostics import CompileReport, Diagnostic
 from ..hls.stylecheck import check_style
 from ..interp import ExecLimits
+from ..interp.batch import release_batch_program
 from ..obs import (
     SPAN_EVALUATE,
     SPAN_ITERATION,
@@ -132,11 +133,12 @@ class SearchConfig:
     the default; None/empty disables).  Ignored when ``use_cache`` is
     False — the store is a durable tier *under* the in-memory cache."""
     interp_backend: Optional[str] = None
-    """Execution backend for every interpreted run ("tree", "compiled",
-    "cross"; None = process default).  Deliberately NOT part of the
-    evaluation-cache context token: backends are bit-identical in every
-    simulated measurement, so entries written under one backend are valid
-    under any other."""
+    """Execution backend for every interpreted run (one of
+    ``repro.interp.BACKENDS``; None = the process default, ``"batch"``
+    unless ``REPRO_INTERP_BACKEND`` overrides it).  Deliberately NOT part
+    of the evaluation-cache context token: backends are bit-identical in
+    every simulated measurement, so entries written under one backend are
+    valid under any other."""
     use_synthesis: bool = field(default_factory=synthesis_default)
     """Evidence-driven parameter synthesis (env ``REPRO_SYNTH`` sets the
     default, off otherwise): parameterized edit families derive stack
@@ -438,9 +440,15 @@ class RepairSearch:
                                     family=self._edit_family(label),
                                 )
                             continue
+                        # A candidate's generated program is dead weight
+                        # once it is evaluated: its children keep its unit
+                        # alive, but only the best is ever run again (by
+                        # the final difftest).
                         if evaluation.fitness.better_than(
                             best.fitness if best else None
                         ):
+                            if best is not None:
+                                release_batch_program(best.candidate.unit)
                             best = evaluation
                             self.history.append(
                                 f"new best {evaluation.fitness} "
@@ -477,6 +485,8 @@ class RepairSearch:
                                         kernel=self.kernel_name,
                                         synthesis=self.config.use_synthesis,
                                     )
+                        else:
+                            release_batch_program(candidate.unit)
                         children = self._propose_children(evaluation)
                         for child in children:
                             key = dedup_key(child)

@@ -5,9 +5,9 @@ toolchain (see DESIGN.md).  Two execution backends share one semantics:
 the tree-walking :class:`Interpreter` and the closure-compiled
 :class:`CompiledEngine` (see ``repro.interp.compile``), with
 :class:`CrossCheckEngine` asserting they stay bit-identical.  The
-:class:`BatchEngine` (see ``repro.interp.batch``) lowers the closure
-form once more to flat generated Python and adds ``run_many`` — whole
-input sets through one pooled pass — with
+:class:`BatchEngine` (see ``repro.interp.batch``), the default engine,
+lowers the closure form once more to flat generated Python and adds
+``run_many`` — whole input sets through one pooled pass — with
 :class:`BatchCrossCheckEngine` asserting batch-vs-compiled identity.
 """
 

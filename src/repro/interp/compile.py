@@ -2396,11 +2396,13 @@ class CrossCheckEngine:
 
 BACKENDS = ("tree", "compiled", "cross", "batch", "batch-cross")
 
-_default_backend = os.environ.get("REPRO_INTERP_BACKEND", "compiled")
+_default_backend = os.environ.get("REPRO_INTERP_BACKEND", "batch")
 
 
 def default_backend() -> str:
-    """The backend used when no explicit choice is given."""
+    """The backend used when no explicit choice is given: ``batch``
+    unless ``REPRO_INTERP_BACKEND`` or :func:`set_default_backend`
+    says otherwise."""
     return _default_backend
 
 

@@ -803,7 +803,7 @@ def run_program(
 ) -> ExecResult:
     """One-shot convenience wrapper around an execution engine.
 
-    *backend* selects tree / compiled / cross (defaulting to the process
+    *backend* names one of ``BACKENDS`` (defaulting to the process
     default, see :func:`repro.interp.compile.default_backend`).
     """
     from .compile import make_engine  # deferred: compile imports this module

@@ -182,7 +182,7 @@ def test_unpoolable_globals_rebuild_per_input():
     must still match fresh runs exactly."""
     unit = parse(GLOBAL_UNPOOLABLE_SRC)
     engine = make_engine(unit, backend="batch", limits=LIMITS)
-    assert not engine.program.poolable_globals
+    assert not engine.poolable_globals
     # Same unit: coverage keys are node uids, so the comparison below
     # needs both engines looking at one parse.
     fresh = make_engine(unit, backend="batch", limits=LIMITS)

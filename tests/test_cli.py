@@ -185,3 +185,57 @@ class TestSynthFlags:
         )
         assert on.synth is True
         assert off.synth is False
+
+
+class TestBadInput:
+    """Bad input ends in one ``repro <cmd>: error: ...`` line, exit 2."""
+
+    @pytest.fixture
+    def syntax_error_file(self, tmp_path):
+        path = tmp_path / "bad.c"
+        path.write_text("int f(int a) { return a + ; }\n")
+        return str(path)
+
+    def _error_line(self, capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        return lines[0]
+
+    def test_transpile_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.c")
+        assert main(["transpile", missing, "--kernel", "f"]) == 2
+        line = self._error_line(capsys)
+        assert line.startswith("repro transpile: error: ")
+        assert "No such file" in line and "nonexistent.c" in line
+
+    def test_transpile_syntax_error(self, syntax_error_file, capsys):
+        assert main(["transpile", syntax_error_file, "--kernel", "f"]) == 2
+        line = self._error_line(capsys)
+        assert line.startswith("repro transpile: error: 1:27: ")
+
+    def test_fuzz_syntax_error(self, syntax_error_file, capsys):
+        assert main(["fuzz", syntax_error_file, "--kernel", "f"]) == 2
+        assert self._error_line(capsys).startswith("repro fuzz: error: 1:27: ")
+
+    def test_check_syntax_error(self, syntax_error_file, capsys):
+        assert main(["check", syntax_error_file, "--top", "f"]) == 2
+        assert self._error_line(capsys).startswith("repro check: error: ")
+
+    def test_trace_summary_missing_journal(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        assert main(["trace", "summary", missing]) == 2
+        line = self._error_line(capsys)
+        assert line.startswith("repro trace summary: error: ")
+        assert "missing.jsonl" in line
+
+
+def test_interp_backend_help_lists_every_backend(capsys):
+    from repro.interp import BACKENDS
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["transpile", "--help"])
+    help_text = capsys.readouterr().out
+    assert "{" + ",".join(BACKENDS) + "}" in help_text
+    assert "'batch'" in help_text
