@@ -8,7 +8,21 @@ import pytest
 
 from repro.cfront import parse
 from repro.hls import SolutionConfig
-from repro.interp import run_program
+from repro.interp import batch, run_program
+
+
+@pytest.fixture(autouse=True, scope="session")
+def eager_lowering():
+    """Lower every unit before its first input on the batch engine.
+
+    By default a batch engine runs an engine's first input on the unit's
+    closure compilation (``batch._LOWER_AFTER_INPUTS``), and many tests
+    run a single input; the suite exists to check the generated code, so
+    it lowers at once.  Tests of the lowering rule set their own value.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch, "_LOWER_AFTER_INPUTS", 0)
+        yield
 
 
 def run_c(source: str, func: str, args: List[Any], **kwargs):

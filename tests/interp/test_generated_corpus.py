@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import InterpError
-from repro.interp import ExecLimits, engine_run_many, make_engine
+from repro.interp import ExecLimits, batch_program, engine_run_many, make_engine
 from repro.subjects import generated_subjects
 
 LIMITS = ExecLimits(max_steps=500_000, max_depth=256)
@@ -84,11 +84,11 @@ def test_corpus_generates_without_fallbacks():
     program silently fell back to pooled closures, its coverage claim
     would be hollow.  Every function of every program must generate."""
     for gs in CORPUS:
-        engine = make_engine(gs.parse(), backend="batch", limits=LIMITS)
-        assert engine.program.fallback_functions == 0, (
+        program = batch_program(gs.parse())
+        assert program.fallback_functions == 0, (
             f"{gs.name}: batch codegen fell back"
         )
-        assert engine.program.generated > 0
+        assert program.generated > 0
 
 
 def test_corpus_shape():
